@@ -33,9 +33,7 @@ class MinCostIncrementer:
     def __init__(self, network: RetrievalNetwork) -> None:
         self.network = network
         self.live_disks: list[int] = [
-            j
-            for j in range(network.problem.num_disks)
-            if network.disk_in_degree[j] > 0
+            j for j, deg in enumerate(network.disk_in_degree) if deg > 0
         ]
         #: number of increment steps performed
         self.steps = 0

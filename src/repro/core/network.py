@@ -52,6 +52,11 @@ class RetrievalNetwork:
             self.replica_arcs.append(arcs)
         for j in range(N):
             self.sink_arcs.append(g.add_arc(self.disk_vertex(j), self.sink, 0))
+        # Construction is the only caller of add_arc, so the topology —
+        # and with it every disk's in-degree — is fixed from here on.
+        self._disk_in_degree: list[int] = [
+            g.in_degree(self.disk_vertex(j)) for j in range(N)
+        ]
 
         # The disk→sink arcs are appended last, so their forward slots
         # form the arithmetic run base, base+2, ... (twins at the odd
@@ -70,14 +75,14 @@ class RetrievalNetwork:
         """Per-disk replica multiplicity within this query (Algorithm 3's
         ``in_degree``).
 
-        Read straight from the graph's O(1) in-degree cache: the only
-        original arcs entering a disk vertex are the deduplicated
-        bucket→disk replica arcs, so no separate copy needs maintaining.
+        Read once from the graph's per-vertex in-degree cache at
+        construction — the only original arcs entering a disk vertex are
+        the deduplicated bucket→disk replica arcs, and no arc is added
+        after ``__init__`` — and returned as the same list on every read
+        (also across :meth:`rebind`, which keeps the topology).  Treat it
+        as read-only.
         """
-        return [
-            self.graph.in_degree(self.disk_vertex(j))
-            for j in range(self.problem.num_disks)
-        ]
+        return self._disk_in_degree
 
     # ------------------------------------------------------------------
     # vertex arithmetic

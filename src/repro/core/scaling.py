@@ -179,7 +179,7 @@ def binary_scaling_solve(
     net.set_deadline_capacities(tmin)
     schedule = incremental_solve(
         problem, prober, solver_name, stats=stats, network=net,
-        entry_deadline=tmin,
+        entry_deadline=tmin, monitor=monitor,
     )
     return schedule
 
@@ -192,6 +192,7 @@ def incremental_solve(
     stats: SolverStats | None = None,
     network: RetrievalNetwork | None = None,
     entry_deadline: float = 0.0,
+    monitor: invariants.ProbeMonitor | None = None,
 ) -> RetrievalSchedule:
     """Algorithm 5's outer loop: probe, then increment-min-cost until |Q|.
 
@@ -200,7 +201,9 @@ def incremental_solve(
     pre-scaled by the caller; ``entry_deadline`` is the deadline those
     capacities encode, recorded as the first increment-phase probe's
     candidate ``t`` — every later candidate, being a min-cost finish time
-    *above* the scaled capacities, is strictly larger).
+    *above* the scaled capacities, is strictly larger).  ``monitor`` is
+    the caller's armed :class:`~repro.invariants.ProbeMonitor`, so one
+    monitor watches every probe of a solve.
     """
     if network is None:
         network = RetrievalNetwork(problem)
@@ -210,9 +213,8 @@ def incremental_solve(
     Q = problem.num_buckets
     inc = MinCostIncrementer(network)
     inc.sync_live_set()
-    monitor = (
-        invariants.ProbeMonitor(network) if invariants.ENABLED else None
-    )
+    if monitor is None and invariants.ENABLED:
+        monitor = invariants.ProbeMonitor(network)
 
     t_cur = entry_deadline
     flow = _probe(prober, stats, Q, t_cur, "increment", monitor)

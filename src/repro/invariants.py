@@ -13,6 +13,10 @@ invariants hold:
   monotone: once some ``t`` probes feasible, no larger ``t`` may probe
   infeasible (the property binary scaling searches over).
 
+A fourth, the implementation's own, is checked once per solve: the
+per-disk in-degrees a :class:`~repro.core.network.RetrievalNetwork`
+reads once at construction still match its graph (**fixed topology**).
+
 This module turns them into machine-checked assertions.  The checks are
 **off by default** and cost nothing on the default path: every hook site
 tests the module-level :data:`ENABLED` flag (one attribute load) and the
@@ -38,6 +42,7 @@ __all__ = [
     "ProbeMonitor",
     "check_antisymmetry",
     "check_clamped_network",
+    "check_disk_in_degree",
     "check_valid_flow",
     "enabled_from_env",
 ]
@@ -97,19 +102,37 @@ def check_clamped_network(network, context: str) -> None:
     check_valid_flow(g, network.source, network.sink, context)
 
 
+def check_disk_in_degree(network, context: str) -> None:
+    """The network's once-per-topology in-degree list must still match
+    the graph: an arc added after construction would otherwise feed
+    Algorithm 3 a stale replica count and give wrong increments."""
+    g = network.graph
+    cached = network.disk_in_degree
+    for j in range(network.problem.num_disks):
+        actual = g.in_degree(network.disk_vertex(j))
+        if cached[j] != actual:
+            raise InvariantViolation(
+                f"{context}: disk {j} in-degree cached as {cached[j]} but "
+                f"the graph has {actual} (topology changed after "
+                "construction)"
+            )
+
+
 # ----------------------------------------------------------------------
 # probe-level checks (core/scaling.py hook)
 # ----------------------------------------------------------------------
 class ProbeMonitor:
     """Per-solve monotonicity + flow-validity watcher for probes.
 
-    One instance is created per ``binary_scaling_solve`` /
-    ``incremental_solve`` invocation when the sanitizer is armed.  Each
-    deadline-indexed probe (phases ``anchor`` and ``binary``, where the
-    sink capacities are a pure function of the candidate ``t``) is
-    recorded; a feasible probe below an infeasible one is a monotonicity
-    violation.  Increment-phase probes are validity-checked only — their
-    capacities are not parameterised by ``t``.
+    One instance is created per solve (``binary_scaling_solve`` hands
+    its monitor on to the increment phase) when the sanitizer is armed,
+    and first checks the network's cached per-disk in-degrees against
+    the graph.  Each deadline-indexed probe (phases ``anchor`` and
+    ``binary``, where the sink capacities are a pure function of the
+    candidate ``t``) is recorded; a feasible probe below an infeasible
+    one is a monotonicity violation.  Increment-phase probes are
+    validity-checked only — their capacities are not parameterised by
+    ``t``.
     """
 
     #: phases whose capacities encode the probed deadline
@@ -120,6 +143,7 @@ class ProbeMonitor:
         self.observations: list[tuple[float, bool, str]] = []
         self._max_infeasible_t = float("-inf")
         self._min_feasible_t = float("inf")
+        check_disk_in_degree(network, "probe monitor")
 
     def after_probe(self, t: float, feasible: bool, phase: str) -> None:
         self.observations.append((t, feasible, phase))

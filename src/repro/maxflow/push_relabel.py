@@ -14,6 +14,11 @@ This is the engine inside the paper's Algorithms 4, 5 and 6.  Design notes:
   ``initial_heights`` and produce identical flows — only operation counts
   differ (quantified in ``benchmarks/bench_ablation_conservation.py``).
 
+  The relabel builds the height histogram the gap heuristic reads in the
+  same call (every height lies in ``[0, 2n]``), and it skips the BFS from
+  the source in O(1) when every non-source vertex reached the sink — a
+  count of the vertices the sink BFS visited, not a scan of the heights.
+
 * **Gap heuristic** [14,19]: when a height level in ``(0, n)`` empties, all
   vertices stranded above it are lifted past ``n`` at once.
 
@@ -178,11 +183,11 @@ class PushRelabelState:
         if self.initial_heights == "zero":
             self.height = [0] * n
             self.height[s] = n
+            self.current = [0] * n
+            self._rebuild_height_count()
         else:
+            # resets the current-arc pointers and builds the histogram
             self._global_relabel()
-
-        self.current = [0] * n
-        self._rebuild_height_count()
 
     # ------------------------------------------------------------------
     def run(self) -> int:
@@ -257,10 +262,8 @@ class PushRelabelState:
                         hv = height[v]
                     if gr_interval and relabels_since_gr >= gr_interval:
                         excess[v] = ev
-                        current[v] = 0
                         self._global_relabel()
                         relabels_since_gr = 0
-                        self._rebuild_height_count()
                         # heights changed globally: requeue v and restart
                         if ev > 0 and not in_queue[v]:
                             queue.append(v)
@@ -304,7 +307,9 @@ class PushRelabelState:
 
         ``height[v] = dist(v, t)`` when the sink is residually reachable
         from ``v``; otherwise ``n + dist(v, s)``, which routes stranded
-        excess back toward the source (phase 2).
+        excess back toward the source (phase 2).  The height histogram
+        and the current-arc reset ride along, so no separate pass over
+        the vertices runs after it.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
@@ -315,41 +320,51 @@ class PushRelabelState:
 
         # backward BFS from t: follow arcs *into* v with residual capacity,
         # i.e. out-arcs a of v whose twin has residual (cap[a^1] - flow[a^1]).
+        # A vertex is appended once, when first reached, so len(bfs) counts
+        # the vertices that reach t.
         height[t] = 0
-        dq = deque([t])
-        while dq:
-            v = dq.popleft()
+        bfs = [t]
+        for v in bfs:  # the list grows as the loop runs: a FIFO queue
             hv1 = height[v] + 1
             for a in adj[v]:
                 # arc a: v -> w; its twin w -> v is the arc whose residual
                 # capacity lets flow travel w -> v toward the sink.
-                if cap[a ^ 1] - flow[a ^ 1] > 0:
+                b = a ^ 1
+                if cap[b] > flow[b]:
                     w = head[a]
                     if height[w] > hv1:
                         height[w] = hv1
-                        dq.append(w)
+                        bfs.append(w)
 
+        # backward BFS from s, but only when some non-source vertex cannot
+        # reach t (the common feasible-probe case has none — skip the
+        # second pass); the count of sink-reached vertices makes the test O(1)
+        s_reached = height[s] < INF
         height[s] = n
-        # backward BFS from s, but only when some vertex cannot reach t
-        # (the common feasible-probe case has none — skip the second pass)
-        if any(h >= INF for h in height):
+        if len(bfs) - s_reached < n - 1:
             dist_s = [INF] * n
             dist_s[s] = 0
-            dq = deque([s])
-            while dq:
-                v = dq.popleft()
+            bfs = [s]
+            for v in bfs:
                 dv1 = dist_s[v] + 1
                 for a in adj[v]:
-                    if cap[a ^ 1] - flow[a ^ 1] > 0:
+                    b = a ^ 1
+                    if cap[b] > flow[b]:
                         w = head[a]
                         if dist_s[w] > dv1:
                             dist_s[w] = dv1
-                            dq.append(w)
+                            bfs.append(w)
             for v in range(n):
                 if v != s and height[v] >= INF:
-                    height[v] = min(n + dist_s[v], 2 * n)
+                    hs = n + dist_s[v]
+                    height[v] = hs if hs < INF else INF
         self.height = height
         self.current = [0] * n
+        # every height is in [0, 2n] by construction: no clamp needed
+        height_count = [0] * (INF + 1)
+        for h in height:
+            height_count[h] += 1
+        self.height_count = height_count
 
     def _rebuild_height_count(self) -> None:
         self.height_count = [0] * (2 * self.g.n + 1)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core import RetrievalProblem, RetrievalNetwork
+from repro import invariants
+from repro.core import RetrievalProblem, RetrievalNetwork, solve
+from repro.decluster.multisite import make_placement
 from repro.errors import InfeasibleScheduleError
+from repro.graph import FlowNetwork
 from repro.maxflow import push_relabel
 from repro.storage import StorageSystem
+from repro.workloads.experiments import build_system
+from repro.workloads.queries import sample_arbitrary_query_of_size
 
 
 def problem(n_disks=4, reps=((0, 1), (1, 2), (2, 3))):
@@ -36,6 +42,17 @@ class TestConstruction:
         p = problem(reps=((0, 1), (1, 2), (1, 3)))
         net = RetrievalNetwork(p)
         assert net.disk_in_degree == [p.in_degree(j) for j in range(4)]
+
+    def test_in_degree_list_is_computed_once(self):
+        net = RetrievalNetwork(problem())
+        assert net.disk_in_degree is net.disk_in_degree
+
+    def test_rebind_keeps_the_in_degree_list(self):
+        p1, p2 = problem(), problem()
+        net = RetrievalNetwork(p1)
+        degrees = net.disk_in_degree
+        net.rebind(p2)
+        assert net.disk_in_degree is degrees
 
     def test_source_arcs_capacity_one(self):
         net = RetrievalNetwork(problem())
@@ -109,3 +126,51 @@ class TestFlowInspection:
             if k > 0
         )
         assert net.response_time() == pytest.approx(expect)
+
+
+class TestInDegreeOncePerTopology:
+    """Algorithm 3 reads every disk's in-degree on each increment step;
+    at N=100 per site recomputing the list per read was half a cold
+    solve.  The topology is fixed after construction, so each disk's
+    in-degree is read from the graph exactly once."""
+
+    @staticmethod
+    def large_problem():
+        rng = np.random.default_rng(7)
+        system = build_system(5, 50, rng)
+        placement = make_placement("rda", 50, num_sites=2, rng=rng)
+        query = sample_arbitrary_query_of_size(50, 120, rng)
+        return RetrievalProblem.from_query(system, placement, query.coords)
+
+    @pytest.fixture
+    def in_degree_calls(self, monkeypatch):
+        # an armed sanitizer re-reads the graph on purpose; count the
+        # production path only
+        monkeypatch.setattr(invariants, "ENABLED", False)
+        calls: list[int] = []
+        original = FlowNetwork.in_degree
+
+        def counting(graph, v):
+            calls.append(v)
+            return original(graph, v)
+
+        monkeypatch.setattr(FlowNetwork, "in_degree", counting)
+        return calls
+
+    def test_a_solve_reads_each_disk_once(self, in_degree_calls):
+        p = self.large_problem()
+        assert p.num_disks >= 100
+        schedule = solve(p, solver="pr-binary")
+        assert schedule.stats.increments >= 1  # Algorithm 3 ran
+        assert len(in_degree_calls) == p.num_disks
+
+    def test_every_read_happens_during_construction(self, in_degree_calls):
+        p = self.large_problem()
+        net = RetrievalNetwork(p)
+        assert sorted(in_degree_calls) == [
+            net.disk_vertex(j) for j in range(p.num_disks)
+        ]
+        in_degree_calls.clear()
+        solve(p, solver="pr-binary", network=net)
+        solve(p, solver="ff-binary", network=net)
+        assert in_degree_calls == []

@@ -167,3 +167,40 @@ class TestProbeMonitor:
         phases = {p for mon in captured for (_, _, p) in mon.observations}
         assert "binary" in phases or "anchor" in phases
         assert "increment" in phases
+
+    def test_one_in_degree_check_per_solve(self, armed, monkeypatch):
+        # the increment phase reuses the binary phase's monitor, so the
+        # cached in-degrees are checked once per solve, not once per phase
+        calls = []
+        original = invariants.check_disk_in_degree
+
+        def counting(network, context):
+            calls.append(context)
+            original(network, context)
+
+        monkeypatch.setattr(invariants, "check_disk_in_degree", counting)
+        for name in ("pr-binary", "pr-incremental", "ff-binary"):
+            calls.clear()
+            solve(small_problem(), solver=name)
+            assert len(calls) == 1, name
+
+    def stale_network(self):
+        """A network with an arc added after construction: its cached
+        per-disk in-degrees no longer match the graph."""
+        from repro.core.network import RetrievalNetwork
+
+        problem = small_problem()
+        net = RetrievalNetwork(problem)
+        j = net.disk_in_degree.index(min(net.disk_in_degree))
+        net.graph.add_arc(net.bucket_vertex(0), net.disk_vertex(j), 1)
+        return problem, net
+
+    def test_post_construction_arc_trips_armed_solve(self, armed):
+        problem, net = self.stale_network()
+        with pytest.raises(InvariantViolation, match="in-degree"):
+            solve(problem, solver="pr-binary", network=net)
+
+    def test_disarmed_solve_skips_the_in_degree_check(self, monkeypatch):
+        monkeypatch.setattr(invariants, "ENABLED", False)
+        problem, net = self.stale_network()
+        solve(problem, solver="pr-binary", network=net)  # no check runs

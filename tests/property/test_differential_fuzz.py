@@ -15,6 +15,10 @@ boundary where the float era needed a ``1e-9`` fudge in
 a deadline precisely at ``finish_time(j, k)`` admits exactly ``k``
 buckets, and one ulp below it admits exactly ``k - 1``.
 
+A large-N pass solves paper-sized instances (N=100 per site, 200 disks,
+|Q| in the hundreds) with every optimal registry solver: the response
+times must be the same float and each schedule must certify optimal.
+
 A scheduler-level pass re-checks the §VI.F oracle with exact equality:
 on brute-force-checkable instances the optimal response time returned by
 the flow solvers is bit-for-bit the brute-force optimum, because both
@@ -29,11 +33,17 @@ import numpy as np
 import pytest
 
 from repro.core import RetrievalProblem, brute_force_response_time, solve
+from repro.core.api import SOLVERS
+from repro.core.certify import certify_optimal
 from repro.core.network import RetrievalNetwork
+from repro.decluster.multisite import make_placement
 from repro.fleet import SolveFleet
 from repro.maxflow import ENGINES, get_engine
 from repro.maxflow.mincost import min_cost_max_flow
 from repro.storage import StorageSystem
+from repro.workloads.experiments import build_system
+from repro.workloads.loads import QUERY_LOADS
+from repro.workloads.queries import sample_arbitrary_query_of_size
 
 N_INSTANCES = 200
 
@@ -246,3 +256,69 @@ def test_process_pool_solver_label_and_types(fleet):
     )
     assert type(remote.stats.pushes) is int
     assert type(remote.response_time_ms) is float
+
+
+# ----------------------------------------------------------------------
+# large-N differential: the paper's production size, where the engine's
+# fixed per-probe passes and the incrementer's bookkeeping dominate
+# ----------------------------------------------------------------------
+
+#: registry solvers that cannot take part, each with its reason; every
+#: other solver (a newly registered one included) must agree exactly
+NOT_LARGE_N = {
+    "ff-basic": "Algorithm 1 solves only the basic (homogeneous) problem",
+    "brute-force": "exhaustive c^|Q| search, capped far below |Q| = 100",
+    "greedy-finish-time": "heuristic, not optimal",
+    "round-robin": "heuristic, not optimal",
+}
+LARGE_N_SOLVERS = sorted(set(SOLVERS) - set(NOT_LARGE_N))
+LARGE_N = 100  # disks per site: 200 disks in all
+
+
+def random_large(seed: int) -> RetrievalProblem:
+    """Experiment 5 at N=100 per site with a load-3 arbitrary query of
+    2-3 disk accesses per disk, i.e. |Q| in (N, 3N]."""
+    rng = np.random.default_rng(0x1A26E + seed)
+    system = build_system(5, LARGE_N, rng)
+    placement = make_placement("rda", LARGE_N, num_sites=2, rng=rng)
+    size = 0
+    while not LARGE_N < size <= 3 * LARGE_N:
+        size = QUERY_LOADS[3].sample_size(LARGE_N, rng)
+    query = sample_arbitrary_query_of_size(LARGE_N, size, rng)
+    return RetrievalProblem.from_query(system, placement, query.coords)
+
+
+def check_large_instance(seed: int) -> None:
+    problem = random_large(seed)
+    assert problem.num_disks == 2 * LARGE_N
+    assert 100 <= problem.num_buckets <= 3 * LARGE_N
+    schedules = {name: solve(problem, solver=name) for name in LARGE_N_SOLVERS}
+    times = {name: s.response_time_ms for name, s in schedules.items()}
+    assert len(set(times.values())) == 1, (
+        f"solvers disagree on large seed {seed}: {times}"
+    )
+    for name, schedule in schedules.items():
+        cert = certify_optimal(problem, schedule)
+        assert cert, f"{name} on large seed {seed}: {cert.reason}"
+    # the flat-array engine is an op-for-op copy of the list engine:
+    # identical flows imply identical operation counts
+    classic, flat = schedules["pr-binary"].stats, schedules["pr-csr"].stats
+    for name in STATS_COUNTERS:
+        assert getattr(flat, name) == getattr(classic, name), (
+            f"pr-csr vs pr-binary SolverStats.{name} on large seed {seed}"
+        )
+
+
+def test_large_n_matrix_is_not_empty():
+    assert {"pr-binary", "pr-csr", "blackbox-binary"} <= set(LARGE_N_SOLVERS)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_large_n_solvers_agree_exactly(seed):
+    check_large_instance(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(3, 15))
+def test_large_n_solvers_agree_exactly_long(seed):
+    check_large_instance(seed)
