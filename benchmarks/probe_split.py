@@ -2,9 +2,10 @@
 
 Splits the engine's per-probe work into its two passes:
 
-* ``initialize`` — the fixed cost every probe pays: excesses from the
-  conserved flow, source-arc saturation and the global relabel (timed on
-  its own as well);
+* ``initialize`` — the fixed cost every probe pays: source-arc
+  saturation plus, on the first probe of a solve (or after a reset), the
+  excess recount and the global relabel, and on every later probe the
+  label repair that replaces them (both timed on their own as well);
 * ``run`` — the discharge, the only part that scales with the new work.
 
 Then solves the same batch with ``pr-binary`` and ``blackbox-binary`` and
@@ -13,11 +14,15 @@ headline comparison (up to 2.5x).  Queries are Experiment 5, load 3,
 arbitrary, on an ``rda`` placement (two sites, ``2N`` disks)::
 
     PYTHONPATH=src python benchmarks/probe_split.py --n 100 --queries 40
+
+Exits 1 when any ``pr-binary`` response time differs from
+``blackbox-binary``'s on the same query.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -44,7 +49,10 @@ def make_batch(n: int, count: int, seed: int) -> list[RetrievalProblem]:
 def engine_split(problems: list[RetrievalProblem]) -> dict[str, float]:
     """Seconds spent in each engine pass, and the probe count, over one
     ``pr-binary`` solve per problem."""
-    spent = {"initialize": 0.0, "_global_relabel": 0.0, "run": 0.0}
+    spent = {
+        "initialize": 0.0, "_repair_labels": 0.0, "_global_relabel": 0.0,
+        "run": 0.0,
+    }
     originals = {name: getattr(PushRelabelState, name) for name in spent}
 
     def timed(name):
@@ -70,16 +78,19 @@ def engine_split(problems: list[RetrievalProblem]) -> dict[str, float]:
 
 
 def best_ms_per_query(problems, solver: str, repeats: int = 3):
-    """Best-of-``repeats`` ms per query, and total pushes of one pass."""
+    """Best-of-``repeats`` ms per query, total pushes of one pass, and
+    the response times."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        pushes = sum(solve(p, solver=solver).stats.pushes for p in problems)
+        schedules = [solve(p, solver=solver) for p in problems]
         best = min(best, time.perf_counter() - start)
-    return best * 1000.0 / len(problems), pushes
+    pushes = sum(s.stats.pushes for s in schedules)
+    times = [s.response_time_ms for s in schedules]
+    return best * 1000.0 / len(problems), pushes, times
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, default=100, help="disks per site")
     parser.add_argument("--queries", type=int, default=40)
@@ -93,23 +104,30 @@ def main() -> None:
 
     split = engine_split(problems)
     init_ms = split["initialize"] * 1000.0 / q
+    repair_ms = split["_repair_labels"] * 1000.0 / q
     relabel_ms = split["_global_relabel"] * 1000.0 / q
     run_ms = split["run"] * 1000.0 / q
     print(
         f"pr-binary per query: {split['probes'] / q:.2f} probes, "
-        f"initialize {init_ms:.3f} ms (global relabel {relabel_ms:.3f}), "
-        f"run {run_ms:.3f} ms, fixed/discharge {init_ms / run_ms:.2f}x"
+        f"initialize {init_ms:.3f} ms (label repair {repair_ms:.3f}, "
+        f"global relabel {relabel_ms:.3f}), run {run_ms:.3f} ms, "
+        f"fixed/discharge {init_ms / run_ms:.2f}x"
     )
 
-    int_ms, int_pushes = best_ms_per_query(problems, "pr-binary")
-    bb_ms, bb_pushes = best_ms_per_query(problems, "blackbox-binary")
+    int_ms, int_pushes, int_times = best_ms_per_query(problems, "pr-binary")
+    bb_ms, bb_pushes, bb_times = best_ms_per_query(problems, "blackbox-binary")
     print(f"pr-binary       {int_ms:8.3f} ms/query  {int_pushes / q:8.0f} pushes/query")
     print(f"blackbox-binary {bb_ms:8.3f} ms/query  {bb_pushes / q:8.0f} pushes/query")
     print(
         f"black box / integrated: time {bb_ms / int_ms:.2f}x, "
         f"pushes {bb_pushes / int_pushes:.2f}x (paper: up to 2.5x)"
     )
+    wrong = [i for i, (a, b) in enumerate(zip(int_times, bb_times)) if a != b]
+    if wrong:
+        print(f"pr-binary and blackbox-binary disagree on queries {wrong}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

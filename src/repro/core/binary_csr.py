@@ -16,19 +16,22 @@ the generalized-instance family (see BENCH_ablation_engines.json).
 
 from __future__ import annotations
 
+from repro.core.incremental_pr import SequentialProber
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
-from repro.core.scaling import Prober, binary_scaling_solve
+from repro.core.scaling import binary_scaling_solve
 from repro.core.schedule import RetrievalSchedule, SolverStats
 from repro.maxflow.csr_push_relabel import CsrPushRelabelState
 
 __all__ = ["CsrProber", "CsrBinarySolver"]
 
 
-class CsrProber(Prober):
-    """Warm-started CSR push–relabel probes over one compiled topology."""
+class CsrProber(SequentialProber):
+    """Warm-started CSR push–relabel probes over one compiled topology.
 
-    conserves_flow = True
+    Probes, snapshots and counters work as in :class:`SequentialProber`;
+    only the engine differs.
+    """
 
     def __init__(
         self,
@@ -38,11 +41,12 @@ class CsrProber(Prober):
         global_relabel_interval: int | None = None,
         gap_heuristic: bool = True,
     ) -> None:
+        super().__init__(
+            initial_heights=initial_heights,
+            global_relabel_interval=global_relabel_interval,
+            gap_heuristic=gap_heuristic,
+        )
         self.selection = selection
-        self.initial_heights = initial_heights
-        self.global_relabel_interval = global_relabel_interval
-        self.gap_heuristic = gap_heuristic
-        self._state: CsrPushRelabelState | None = None
 
     def attach(self, network: RetrievalNetwork) -> None:
         self._state = CsrPushRelabelState(
@@ -55,21 +59,9 @@ class CsrProber(Prober):
             gap_heuristic=self.gap_heuristic,
         )
 
-    def probe(self) -> float:
-        assert self._state is not None, "attach() before probe()"
-        self._state.initialize(preserve_flow=True)
-        return self._state.run()
-
-    def op_counts(self) -> tuple[int, int, int]:
-        if self._state is None:
-            return (0, 0, 0)
-        return (self._state.pushes, self._state.relabels, 0)
-
     def harvest(self, stats: SolverStats) -> None:
+        super().harvest(stats)
         if self._state is not None:
-            stats.pushes += self._state.pushes
-            stats.relabels += self._state.relabels
-            stats.extra["global_relabels"] = self._state.global_relabels
             stats.extra["gap_events"] = self._state.gap_events
 
 

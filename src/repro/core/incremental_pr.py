@@ -5,8 +5,11 @@ Starts with all disk→sink capacities at zero and alternates
 excess reaches ``|Q|``.  The crucial property is line "flow values are not
 initialized back to 0": each run's :class:`~repro.maxflow.PushRelabelState`
 re-initialization (clear queue, saturate only the *residual* slack of the
-source arcs, reset heights, zero source excess — lines 3-14) conserves
-every previously routed bucket.
+source arcs, zero source excess — lines 3-14) conserves every previously
+routed bucket.  With exact heights the state also carries its labels
+from probe to probe (lines 11-13's reset is kept under
+``initial_heights="zero"``), so the prober's StoreFlows/RestoreFlows
+snapshots hold the labels next to the flow.
 
 Worst case ``O(c · |Q|⁴)``; Algorithm 6 (:mod:`repro.core.binary_pr`)
 adds binary scaling to bound the increment count by ``N``.
@@ -14,17 +17,25 @@ adds binary scaling to bound the increment count by ``N``.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.core.network import RetrievalNetwork
 from repro.core.problem import RetrievalProblem
 from repro.core.scaling import Prober, incremental_solve
 from repro.core.schedule import RetrievalSchedule, SolverStats
+from repro.maxflow.csr_push_relabel import CsrPushRelabelState
 from repro.maxflow.push_relabel import PushRelabelState
 
 __all__ = ["SequentialProber", "PushRelabelIncrementalSolver"]
 
 
 class SequentialProber(Prober):
-    """Warm-started sequential push–relabel probes (the integrated case)."""
+    """Warm-started sequential push–relabel probes (the integrated case).
+
+    A snapshot is the flow plus the engine's carried labels and height
+    histogram: a probe that starts from a restored flow also starts from
+    the labels that were valid for it.
+    """
 
     conserves_flow = True
 
@@ -38,7 +49,7 @@ class SequentialProber(Prober):
         self.initial_heights = initial_heights
         self.global_relabel_interval = global_relabel_interval
         self.gap_heuristic = gap_heuristic
-        self._state: PushRelabelState | None = None
+        self._state: PushRelabelState | CsrPushRelabelState | None = None
 
     def attach(self, network: RetrievalNetwork) -> None:
         self._state = PushRelabelState(
@@ -54,6 +65,21 @@ class SequentialProber(Prober):
         assert self._state is not None, "attach() before probe()"
         self._state.initialize(preserve_flow=True)
         return self._state.run()
+
+    def store(self, network: RetrievalNetwork) -> Any:
+        assert self._state is not None, "attach() before store()"
+        return (network.graph.save_flow(), self._state.save_labels())
+
+    def restore(self, network: RetrievalNetwork, snapshot: Any) -> None:
+        assert self._state is not None, "attach() before restore()"
+        flow, labels = snapshot
+        network.graph.restore_flow(flow)
+        self._state.restore_labels(labels)
+
+    def reset(self, network: RetrievalNetwork) -> None:
+        assert self._state is not None, "attach() before reset()"
+        network.graph.reset_flow()
+        self._state.restore_labels(None)
 
     def op_counts(self) -> tuple[int, int, int]:
         if self._state is None:

@@ -20,6 +20,7 @@ from repro import invariants
 from repro.core.problem import RetrievalProblem
 from repro.errors import InfeasibleScheduleError, InvalidArcError
 from repro.graph.flownetwork import FlowNetwork, _exact_int
+from repro.storage.system import CapacityTable
 
 __all__ = ["RetrievalNetwork"]
 
@@ -190,7 +191,9 @@ class RetrievalNetwork:
             for a in self.sink_arcs:
                 self.graph.cap[a] = cap
 
-    def set_deadline_capacities(self, deadline_ms: float) -> None:
+    def set_deadline_capacities(
+        self, deadline_ms: float, table: CapacityTable | None = None
+    ) -> None:
         """Capacities for candidate response time ``deadline_ms``
         (Algorithm 6 lines 14-15).
 
@@ -199,8 +202,12 @@ class RetrievalNetwork:
         the whole vector lands in one strided slice assignment (the
         disk→sink forward slots are an arithmetic run by construction)
         instead of a per-disk Python loop — this runs inside *every*
-        feasibility probe of the scaling skeleton."""
-        caps = self.problem.system.capacities_at(deadline_ms)
+        feasibility probe of the scaling skeleton.  ``table`` is the
+        solve's per-disk capacity table; without one, a fresh table is
+        built from the system's current loads."""
+        if table is None:
+            table = self.problem.system.capacity_table()
+        caps = table.capacities_at(deadline_ms)
         sl = self._sink_cap_slice
         if sl is not None:
             self.graph.cap[sl] = caps

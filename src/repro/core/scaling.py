@@ -15,7 +15,14 @@ the *integrated* prober warm-starts from the conserved flow (with
 Algorithm 6's StoreFlows/RestoreFlows discipline), the *black-box* prober
 zeroes the flow and solves from scratch — which is exactly the paper's
 framing of the two families, so this module expresses the difference as a
-:class:`Prober` strategy object.
+:class:`Prober` strategy object.  The skeleton never touches the flow
+itself: it asks the prober to store, restore or reset its probe state,
+which is the flow for most probers and the flow plus the push–relabel
+labels for the sequential ones (see :mod:`repro.core.incremental_pr`).
+
+The per-disk ``(D_j + X_j, C_j)`` table every capacity rescale reads is
+built once per solve (:meth:`~repro.storage.StorageSystem.capacity_table`)
+and dropped with it: loads may change between solves.
 
 Defensive deviation (documented in DESIGN.md): the paper subtracts
 ``min_speed`` from the closed-form ``tmin`` to "ensure that there is no
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import time
+from typing import Any
 
 from repro import invariants
 from repro.core.increment import MinCostIncrementer
@@ -63,6 +71,18 @@ class Prober(abc.ABC):
     @abc.abstractmethod
     def harvest(self, stats: SolverStats) -> None:
         """Deposit accumulated engine counters into ``stats``."""
+
+    def store(self, network: RetrievalNetwork) -> Any:
+        """StoreFlows: a snapshot of the probe state (here, the flow)."""
+        return network.graph.save_flow()
+
+    def restore(self, network: RetrievalNetwork, snapshot: Any) -> None:
+        """RestoreFlows: put back a snapshot from :meth:`store`."""
+        network.graph.restore_flow(snapshot)
+
+    def reset(self, network: RetrievalNetwork) -> None:
+        """Zero the flow (and anything the prober derived from it)."""
+        network.graph.reset_flow()
 
     def op_counts(self) -> tuple[int, int, int]:
         """Cumulative ``(pushes, relabels, augmentations)`` so far.
@@ -136,7 +156,6 @@ def binary_scaling_solve(
         if net.problem is not problem:
             net.rebind(problem)
         warm = True
-    g = net.graph
     stats = SolverStats()
     prober.attach(net)
     monitor = invariants.ProbeMonitor(net) if invariants.ENABLED else None
@@ -146,37 +165,38 @@ def binary_scaling_solve(
     tmin = problem.theoretical_min_deadline()
     tmax = problem.theoretical_max_deadline()
     min_speed = problem.min_speed()
+    table = problem.system.capacity_table()
 
     # defensive anchor probe at tmin (see module docstring)
-    net.set_deadline_capacities(tmin)
+    net.set_deadline_capacities(tmin, table)
     if warm:
         net.clamp_flow_to_sink_caps()
     flow = _probe(prober, stats, Q, tmin, "anchor", monitor)
     if flow >= Q:
         tmax, tmin = tmin, 0.0
-        g.reset_flow()
-    saved = g.save_flow()
+        prober.reset(net)
+    saved = prober.store(net)
 
     # lines 12-37: binary search with flow store/restore
     while tmax - tmin >= min_speed:
         tmid = tmin + (tmax - tmin) * 0.5
-        net.set_deadline_capacities(tmid)
+        net.set_deadline_capacities(tmid, table)
         flow = _probe(prober, stats, Q, tmid, "binary", monitor)
         if flow >= Q:
             # feasible but maybe not optimal: back off to the stored flow
             if prober.conserves_flow:
-                g.restore_flow(saved)
+                prober.restore(net, saved)
             tmax = tmid
         else:
             # infeasible: this flow is valid at every larger deadline
             if prober.conserves_flow:
-                saved = g.save_flow()
+                saved = prober.store(net)
             tmin = tmid
 
     # lines 38-42: finish from tmin with min-cost increments
     if prober.conserves_flow:
-        g.restore_flow(saved)
-    net.set_deadline_capacities(tmin)
+        prober.restore(net, saved)
+    net.set_deadline_capacities(tmin, table)
     schedule = incremental_solve(
         problem, prober, solver_name, stats=stats, network=net,
         entry_deadline=tmin, monitor=monitor,

@@ -16,6 +16,10 @@ invariants hold:
 A fourth, the implementation's own, is checked once per solve: the
 per-disk in-degrees a :class:`~repro.core.network.RetrievalNetwork`
 reads once at construction still match its graph (**fixed topology**).
+A fifth is checked after every warm push–relabel initialize that carries
+its excesses and labels from the previous probe (**carried state**): the
+excesses equal an exact recount, the labels are valid on every residual
+arc, and the height histogram matches the labels.
 
 This module turns them into machine-checked assertions.  The checks are
 **off by default** and cost nothing on the default path: every hook site
@@ -33,14 +37,19 @@ clauses for flow corruption also catch sanitizer trips.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import FlowValidationError
+
+if TYPE_CHECKING:
+    from repro.graph.flownetwork import FlowNetwork
 
 __all__ = [
     "ENABLED",
     "InvariantViolation",
     "ProbeMonitor",
     "check_antisymmetry",
+    "check_carried_state",
     "check_clamped_network",
     "check_disk_in_degree",
     "check_valid_flow",
@@ -116,6 +125,51 @@ def check_disk_in_degree(network, context: str) -> None:
                 f"the graph has {actual} (topology changed after "
                 "construction)"
             )
+
+
+def check_carried_state(
+    graph: FlowNetwork,
+    source: int,
+    sink: int,
+    excess: Sequence[int],
+    height: Sequence[int],
+    height_count: Sequence[int],
+    context: str,
+) -> None:
+    """A push–relabel state carried into a new probe must equal a fresh
+    one in everything but its (valid, not necessarily exact) labels.
+
+    * every excess away from the source equals the vertex's net inflow;
+    * ``height[u] <= height[v] + 1`` on every residual arc ``u -> v``
+      with ``u`` not the source;
+    * ``height_count[h]`` counts the vertices at height ``h``.
+    """
+    head, cap, flow, adj = graph.arrays()
+    n = graph.n
+    for v in range(n):
+        if v == source:
+            continue
+        inflow = -sum(flow[a] for a in adj[v])
+        if excess[v] != inflow:
+            raise InvariantViolation(
+                f"{context}: vertex {v} carries excess {excess[v]} but its "
+                f"net inflow is {inflow}"
+            )
+        hv = height[v]
+        for a in adj[v]:
+            if cap[a] > flow[a] and hv > height[head[a]] + 1:
+                raise InvariantViolation(
+                    f"{context}: invalid label on residual arc {a} "
+                    f"({v} -> {head[a]}): height {hv} > "
+                    f"{height[head[a]]} + 1"
+                )
+    counts = [0] * len(height_count)
+    for h in height:
+        counts[min(h, len(counts) - 1)] += 1
+    if counts != list(height_count):
+        raise InvariantViolation(
+            f"{context}: height histogram does not match the labels"
+        )
 
 
 # ----------------------------------------------------------------------

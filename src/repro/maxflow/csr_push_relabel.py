@@ -40,7 +40,12 @@ Layout mechanics shared by both paths:
 * the exact-height BFS folds the height-histogram rebuild into the
   distance sweep and skips the ``O(n + m)`` excess recomputation on
   cold (``preserve_flow=False``) starts, where the flow buffer is
-  known-zero.
+  known-zero;
+* warm starts carry the excesses and labels of the last completed run
+  and repair only the labels the new residual arcs invalidate, exactly
+  as the list engine does (see its "Warm starts" note).  The scratch
+  buffers are shared by every state on the same ``(source, sink)``, so
+  :meth:`~CsrPushRelabelState.save_labels` copies them out.
 
 Flows and capacities stay in the builder's plain lists (the single
 source of truth the scaling skeleton's StoreFlows/RestoreFlows
@@ -53,6 +58,7 @@ topology's cached list mirrors and the builder's value lists.
 
 from __future__ import annotations
 
+from repro import invariants
 from repro.graph.flownetwork import FlowNetwork
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
 
@@ -155,6 +161,8 @@ class CsrPushRelabelState:
         #: FIFO as a list + head cursor (amortized O(1) popleft)
         self.queue: list[int] = []
         self.qhead: int = 0
+        #: see ``PushRelabelState.carried``
+        self.carried = False
 
         # operation counters (reported in MaxFlowResult.extra)
         self.pushes = 0
@@ -169,9 +177,15 @@ class CsrPushRelabelState:
         Cold starts (``preserve_flow=False``) skip the net-inflow excess
         recomputation: the flow buffer is all-zero after ``reset_flow``,
         so every excess is zero until the source arcs are saturated.
+        Carried warm starts re-read only ``excess[t]`` and repair labels
+        (:meth:`_repair_labels`), operation for operation as the list
+        engine.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
+        carry = preserve_flow and self.carried
+        # the labels are mid-solve until run() completes
+        self.carried = False
         cap, flow = g.cap, g.flow
         scratch = self._scratch
         first = self.c.first_list
@@ -191,6 +205,13 @@ class CsrPushRelabelState:
                 if b & 1 and flow[b ^ 1] > 0:
                     flow[b ^ 1] = 0
                     flow[b] = 0
+                    carry = False  # the cancelled flow left interior excess
+        if carry:
+            # interior excesses are zero after a completed run; re-read
+            # only the sink's
+            sink_adj = adjf[first[t] : first[t + 1]]
+            excess[t] = -sum(map(flow.__getitem__, sink_adj))
+        elif preserve_flow:
             # Exact excesses from the preserved assignment.
             pos = first[0]
             for v in range(n):
@@ -207,6 +228,7 @@ class CsrPushRelabelState:
             excess[:] = zeros_n
 
         # Saturate source arcs that still have slack, conserving flow.
+        saturated: list[int] = []
         for a, v in scratch["src_arcs"]:
             fa = flow[a]
             if fa > cap[a]:
@@ -219,9 +241,23 @@ class CsrPushRelabelState:
                 flow[a] = fa + delta
                 flow[a ^ 1] -= delta
                 excess[v] += delta
+                saturated.append(v)
 
         excess[s] = 0
         queue = self.queue
+        if carry:
+            # only the re-saturated heads can be active, in arc order
+            for v in saturated:
+                if v != t and not in_queue[v]:
+                    queue.append(v)
+                    in_queue[v] = 1
+            self._repair_labels(saturated)
+            if invariants.ENABLED:
+                invariants.check_carried_state(
+                    g, s, t, excess, self.height, self.height_count,
+                    "carried CSR push-relabel initialize",
+                )
+            return
         if preserve_flow:
             for v in range(n):
                 if v != s and v != t and excess[v] > 0:
@@ -246,6 +282,72 @@ class CsrPushRelabelState:
             height_count[n] += 1
         else:
             self._global_relabel()
+
+    def _repair_labels(self, saturated: list[int]) -> None:
+        """Lower just the labels the new residual arcs make invalid; see
+        ``PushRelabelState._repair_labels``."""
+        s, t = self.s, self.t
+        n = self.g.n
+        cap, flow = self.g.cap, self.g.flow
+        c = self.c
+        head = c.head_list
+        first = c.first_list
+        adjf = c.adj_list
+        height, height_count = self.height, self.height_count
+        lowered: list[int] = []
+        lower = lowered.append
+        bound = height[t] + 1
+        for b in adjf[first[t] : first[t + 1]]:
+            a = b ^ 1  # arc u -> t
+            if cap[a] > flow[a]:
+                u = head[b]
+                hu = height[u]
+                if hu > bound and u != s:
+                    height_count[hu] -= 1
+                    height[u] = bound
+                    height_count[bound] += 1
+                    lower(u)
+        bound = n + 1  # height[s] + 1
+        for v in saturated:
+            hv = height[v]
+            if hv > bound:
+                height_count[hv] -= 1
+                height[v] = bound
+                height_count[bound] += 1
+                lower(v)
+        for v in lowered:  # the list grows as the loop runs
+            hv1 = height[v] + 1
+            for a in adjf[first[v] : first[v + 1]]:
+                b = a ^ 1  # twin u -> v
+                if cap[b] > flow[b]:
+                    u = head[a]
+                    hu = height[u]
+                    if hu > hv1 and u != s:
+                        height_count[hu] -= 1
+                        height[u] = hv1
+                        height_count[hv1] += 1
+                        lower(u)
+        self.current[:] = self._scratch["cursor0"]
+
+    def save_labels(self) -> tuple[list[int], list[int]] | None:
+        """Copies of the carried labels and histogram (the buffers are
+        shared scratch); ``None`` when nothing is carried."""
+        if not self.carried:
+            return None
+        return (self.height[:], self.height_count[:])
+
+    def restore_labels(
+        self, labels: tuple[list[int], list[int]] | None
+    ) -> None:
+        """Put back :meth:`save_labels` output with its flow; ``None``
+        forgets the carried state."""
+        if labels is None:
+            self.carried = False
+            return
+        height, height_count = labels
+        self.height[:] = height
+        self.height_count[:] = height_count
+        self.carried = True
 
     # ------------------------------------------------------------------
     def run(self) -> int:
@@ -361,6 +463,7 @@ class CsrPushRelabelState:
         self.pushes = pushes
         self.relabels = relabels
         self.qhead = qhead
+        self.carried = self.initial_heights == "exact"
         return self.excess[t]
 
     # ------------------------------------------------------------------
@@ -483,6 +586,7 @@ class CsrPushRelabelState:
 
         self.pushes = pushes
         self.relabels = relabels
+        self.carried = self.initial_heights == "exact"
         return self.excess[t]
 
     # ------------------------------------------------------------------
@@ -631,6 +735,8 @@ def csr_push_relabel(
     state.relabels = 0
     state.global_relabels = 0
     state.gap_events = 0
+    # the caller may have changed anything since the last call
+    state.restore_labels(None)
     state.initialize(preserve_flow=warm_start)
     state.run()
     return state.result()

@@ -33,13 +33,31 @@ This is the engine inside the paper's Algorithms 4, 5 and 6.  Design notes:
 * **Warm starts.** :meth:`PushRelabelState.initialize` implements
   Algorithm 5 lines 3–14: clear the FIFO queue, saturate only the source
   arcs with positive residual ``delta`` (conserving all previously computed
-  flow), reset heights, zero the source excess.
+  flow), zero the source excess.  The first initialize after construction
+  or :meth:`~PushRelabelState.restore_labels` ``(None)`` recounts every
+  excess and computes exact heights.  Every later warm initialize with
+  exact heights *carries* the state instead, as in Gallo, Grigoriadis and
+  Tarjan's parametric max flow: a completed run leaves zero excess away
+  from ``s``/``t`` and a valid labeling, and raising capacities only adds
+  residual arcs, so only ``excess[t]`` is re-read (from the sink's arcs)
+  and only the labels the new residual arcs invalidate are lowered — a
+  vertex with a residual arc into the sink to ≤ 1, a vertex re-saturated
+  from the source to ≤ ``n + 1`` — then the lowering propagates backward
+  over residual arcs (:meth:`~PushRelabelState._repair_labels`).  Between
+  carried initializes a caller may change only the capacities of arcs
+  into the sink, and the flow only together with the labels
+  (:meth:`~PushRelabelState.save_labels` /
+  :meth:`~PushRelabelState.restore_labels`); an armed sanitizer checks
+  the carried state after every carried initialize.
+  ``initial_heights="zero"`` keeps Algorithm 5's literal reset (lines
+  11–13) on every probe.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from repro import invariants
 from repro.graph.flownetwork import FlowNetwork
 from repro.maxflow.base import MaxFlowEngine, MaxFlowResult
 
@@ -65,10 +83,10 @@ class PushRelabelState:
         ``0`` disables the heuristic.  ``None`` (default) disables it when
         heights already start exact and picks ``max(n, 16)`` otherwise:
         on the shallow 4-layer retrieval networks, exact initialization
-        plus the gap heuristic leaves mid-run global relabeling strictly
-        counterproductive — re-scanning every current-arc pointer costs
-        8-18x in measured solve time (see
-        ``benchmarks/bench_ablation_conservation.py``).
+        plus the gap heuristic leaves mid-run global relabeling no faster
+        (it saves pushes and relabels, and costs as much in BFS passes;
+        see EXPERIMENTS.md, Ablations), while from zero heights it is
+        what keeps the run short.
     gap_heuristic:
         Enable the gap heuristic.
     """
@@ -104,6 +122,11 @@ class PushRelabelState:
         self.in_queue: bytearray = bytearray(n)
         self.height_count: list[int] = [0] * (2 * n + 1)
 
+        #: True between a completed exact-height run and the next
+        #: initialize: the state then holds zero excess away from s/t and
+        #: a valid labeling, so a warm initialize may carry both
+        self.carried = False
+
         # operation counters (reported in MaxFlowResult.extra)
         self.pushes = 0
         self.relabels = 0
@@ -118,9 +141,17 @@ class PushRelabelState:
         source arcs' *residual* slack ``delta = cap - flow`` is injected as
         new excess.  With ``preserve_flow=False`` the flow is zeroed first
         (black-box behaviour) and the source arcs are saturated in full.
+
+        A warm start right after a completed exact-height run (see
+        :attr:`carried`) keeps the excesses and the labels: it re-reads
+        only ``excess[t]`` and repairs only the labels that the new
+        residual arcs invalidate (:meth:`_repair_labels`).
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
+        carry = preserve_flow and self.carried
+        # the labels are mid-solve until run() completes
+        self.carried = False
         if not preserve_flow:
             g.reset_flow()
         head, cap, flow, adj = g.arrays()
@@ -139,23 +170,30 @@ class PushRelabelState:
             if b % 2 == 1 and flow[b ^ 1] > 0:
                 flow[b ^ 1] = 0
                 flow[b] = 0
+                carry = False  # the cancelled flow left interior excess
 
-        # Exact excesses from the preserved assignment: net inflow per
-        # vertex.  For a valid starting *flow* this is zero away from s/t
-        # (Algorithm 5's stated precondition); computing it exactly also
-        # makes warm starts from any valid *preflow* safe.  The sink excess
-        # must reflect flow already delivered in earlier probes, otherwise
-        # Algorithm 5's `excess[t] == |Q|` test cannot see it.
-        excess = [0] * n
-        for v in range(n):
-            ev = 0
-            for a in adj[v]:
-                ev -= flow[a]
-            excess[v] = ev
-        self.excess = excess
+        excess = self.excess
+        if carry:
+            # A completed run drained every interior excess; only the
+            # sink's can differ (the flow may be a restored snapshot).
+            excess[t] = -sum(map(flow.__getitem__, adj[t]))
+        else:
+            # Exact excesses from the preserved assignment: net inflow per
+            # vertex.  For a valid starting *flow* this is zero away from
+            # s/t (Algorithm 5's stated precondition); computing it exactly
+            # also makes warm starts from any valid *preflow* safe.  The
+            # sink excess must reflect flow already delivered in earlier
+            # probes, otherwise Algorithm 5's `excess[t] == |Q|` test
+            # cannot see it.
+            for v in range(n):
+                ev = 0
+                for a in adj[v]:
+                    ev -= flow[a]
+                excess[v] = ev
 
         # Algorithm 5 lines 4-10: saturate source arcs that still have slack
         # (delta = cap - flow), conserving all previously computed flow.
+        saturated: list[int] = []
         for a in adj[s]:
             if a % 2 == 1:
                 continue
@@ -172,22 +210,114 @@ class PushRelabelState:
                 flow[a] += delta
                 flow[a ^ 1] -= delta
                 excess[v] += delta
+                saturated.append(v)
 
         # Algorithm 5 line 14: the source's (negative) excess is irrelevant.
         excess[s] = 0
+        queue, in_queue = self.queue, self.in_queue
+        if carry:
+            # only the re-saturated heads can be active, in arc order
+            for v in saturated:
+                if v != t and not in_queue[v]:
+                    queue.append(v)
+                    in_queue[v] = 1
+            self._repair_labels(saturated)
+            if invariants.ENABLED:
+                invariants.check_carried_state(
+                    g, s, t, excess, self.height, self.height_count,
+                    "carried push-relabel initialize",
+                )
+            return
         for v in range(n):
             if v != s and v != t and excess[v] > 0:
-                self.queue.append(v)
-                self.in_queue[v] = 1
+                queue.append(v)
+                in_queue[v] = 1
 
         if self.initial_heights == "zero":
-            self.height = [0] * n
-            self.height[s] = n
-            self.current = [0] * n
+            height = self.height
+            height[:] = [0] * n
+            height[s] = n
+            self.current[:] = [0] * n
             self._rebuild_height_count()
         else:
             # resets the current-arc pointers and builds the histogram
             self._global_relabel()
+
+    def _repair_labels(self, saturated: list[int]) -> None:
+        """Lower just the labels the new residual arcs make invalid.
+
+        The state carried from the last run is valid for the residual
+        graph that run left.  Since then, capacities of arcs into the sink
+        may have grown and ``saturated`` vertices took new flow from the
+        source; those are the only new residual arcs.  A tail ``u`` of a
+        residual arc into the sink needs ``height[u] <= 1``, a
+        re-saturated vertex (residual arc back into ``s``) ``<= n + 1``.
+        Every lowering then propagates backward over residual arcs, the
+        histogram moves with each label, and all current-arc pointers go
+        back to the start of their lists.
+        """
+        g, s, t = self.g, self.s, self.t
+        n = g.n
+        head, cap, flow, adj = g.arrays()
+        height, height_count = self.height, self.height_count
+        lowered: list[int] = []
+        lower = lowered.append
+        bound = height[t] + 1
+        for b in adj[t]:
+            a = b ^ 1  # arc u -> t
+            if cap[a] > flow[a]:
+                u = head[b]
+                hu = height[u]
+                if hu > bound and u != s:
+                    height_count[hu] -= 1
+                    height[u] = bound
+                    height_count[bound] += 1
+                    lower(u)
+        bound = n + 1  # height[s] + 1
+        for v in saturated:
+            hv = height[v]
+            if hv > bound:
+                height_count[hv] -= 1
+                height[v] = bound
+                height_count[bound] += 1
+                lower(v)
+        for v in lowered:  # the list grows as the loop runs
+            hv1 = height[v] + 1
+            for a in adj[v]:
+                # arc a: v -> u; its twin u -> v is residual when
+                # cap[a ^ 1] > flow[a ^ 1]
+                b = a ^ 1
+                if cap[b] > flow[b]:
+                    u = head[a]
+                    hu = height[u]
+                    if hu > hv1 and u != s:
+                        height_count[hu] -= 1
+                        height[u] = hv1
+                        height_count[hv1] += 1
+                        lower(u)
+        self.current[:] = [0] * n
+
+    def save_labels(self) -> tuple[list[int], list[int]] | None:
+        """The carried labels and histogram, to store alongside a flow
+        (Algorithm 6's StoreFlows); ``None`` when nothing is carried."""
+        if not self.carried:
+            return None
+        return (self.height[:], self.height_count[:])
+
+    def restore_labels(
+        self, labels: tuple[list[int], list[int]] | None
+    ) -> None:
+        """Put back labels from :meth:`save_labels`, together with the
+        flow stored alongside them (RestoreFlows).  ``None`` forgets the
+        carried state, so the next initialize recounts and relabels from
+        scratch; do that after any other change to the flow."""
+        if labels is None:
+            self.carried = False
+            return
+        height, height_count = labels
+        self.height[:] = height
+        self.height_count[:] = height_count
+        self.carried = True
 
     # ------------------------------------------------------------------
     def run(self) -> int:
@@ -283,6 +413,7 @@ class PushRelabelState:
                 queue.append(v)
                 in_queue[v] = 1
 
+        self.carried = self.initial_heights == "exact"
         return self.excess[t]
 
     # ------------------------------------------------------------------
@@ -309,14 +440,16 @@ class PushRelabelState:
         from ``v``; otherwise ``n + dist(v, s)``, which routes stranded
         excess back toward the source (phase 2).  The height histogram
         and the current-arc reset ride along, so no separate pass over
-        the vertices runs after it.
+        the vertices runs after it.  Every list is written in place: a
+        mid-run relabel must reach the lists :meth:`run` holds as locals.
         """
         g, s, t = self.g, self.s, self.t
         n = g.n
         head, cap, flow, adj = g.arrays()
         self.global_relabels += 1
         INF = 2 * n
-        height = [INF] * n
+        height = self.height
+        height[:] = [INF] * n
 
         # backward BFS from t: follow arcs *into* v with residual capacity,
         # i.e. out-arcs a of v whose twin has residual (cap[a^1] - flow[a^1]).
@@ -358,18 +491,19 @@ class PushRelabelState:
                 if v != s and height[v] >= INF:
                     hs = n + dist_s[v]
                     height[v] = hs if hs < INF else INF
-        self.height = height
-        self.current = [0] * n
+        self.current[:] = [0] * n
         # every height is in [0, 2n] by construction: no clamp needed
-        height_count = [0] * (INF + 1)
+        height_count = self.height_count
+        height_count[:] = [0] * (INF + 1)
         for h in height:
             height_count[h] += 1
-        self.height_count = height_count
 
     def _rebuild_height_count(self) -> None:
-        self.height_count = [0] * (2 * self.g.n + 1)
+        two_n = 2 * self.g.n
+        height_count = self.height_count
+        height_count[:] = [0] * (two_n + 1)
         for h in self.height:
-            self.height_count[min(h, 2 * self.g.n)] += 1
+            height_count[min(h, two_n)] += 1
 
     # ------------------------------------------------------------------
     def result(self) -> MaxFlowResult:

@@ -11,6 +11,7 @@ three per-disk parameter vectors of Table I as NumPy arrays:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +20,53 @@ from repro.errors import StorageConfigError
 from repro.storage.disk import DISK_CATALOG, Disk, DiskSpec, pick_disks
 from repro.storage.site import Site
 
-__all__ = ["StorageSystem"]
+__all__ = ["CapacityTable", "StorageSystem"]
+
+
+class CapacityTable:
+    """Per-disk ``(D_j + X_j, C_j)`` as float arrays, read by every
+    capacity rescale of one solve.
+
+    Built by :meth:`StorageSystem.capacity_table` from the loads of the
+    moment; loads are mutable (``set_loads``), so a table must not
+    outlive the solve it was built for.
+    """
+
+    __slots__ = ("base", "cost")
+
+    def __init__(self, base: np.ndarray, cost: np.ndarray) -> None:
+        #: ``D_j + X_j``, the same float sum ``finish_time`` starts from
+        self.base = base
+        #: ``C_j``
+        self.cost = cost
+
+    def capacities_at(self, deadline_ms: float) -> list[int]:
+        """Every disk's :meth:`StorageSystem.capacity_at` in one
+        vectorized pass, bit-identical to the per-disk call.
+
+        Same arithmetic element by element: a floor-division first guess
+        from the budget ``t - (D_j + X_j)``, then the O(1) fixups against
+        the ``finish_time`` expression ``(D_j + X_j) + k * C_j`` until
+        ``finish_time(j, k) <= t < finish_time(j, k + 1)``; a budget
+        ``<= 0`` gives 0 with no fixup.
+        """
+        if not math.isfinite(deadline_ms):
+            raise ValueError(f"deadline must be finite, got {deadline_ms}")
+        base, cost = self.base, self.cost
+        budget = deadline_ms - base
+        positive = budget > 0
+        k = np.where(positive, np.floor_divide(budget, cost), 0.0)
+        while True:
+            up = (base + (k + 1.0) * cost <= deadline_ms) & positive
+            if not up.any():
+                break
+            k += up
+        while True:
+            down = (k > 0) & (base + k * cost > deadline_ms)
+            if not down.any():
+                break
+            k -= down
+        return k.astype(np.int64).tolist()
 
 
 class StorageSystem:
@@ -191,7 +238,7 @@ class StorageSystem:
         """
         d = self.disk(disk_id)
         site = self.sites[self._site_of[disk_id]]
-        budget = deadline_ms - site.delay_ms - d.initial_load_ms
+        budget = deadline_ms - (site.delay_ms + d.initial_load_ms)
         if budget <= 0:
             return 0
         k = int(budget // d.block_time_ms)
@@ -202,39 +249,27 @@ class StorageSystem:
             k -= 1
         return k
 
-    def capacities_at(self, deadline_ms: float) -> list[int]:
-        """All disks' :meth:`capacity_at` in one pass.
+    def capacity_table(self) -> CapacityTable:
+        """The per-disk ``(D_j + X_j, C_j)`` table of the current loads.
 
-        The batch form of the per-probe rescale: one call produces the
-        full disk→sink capacity vector that
-        :meth:`~repro.core.network.RetrievalNetwork.set_deadline_capacities`
-        writes with a single strided slice assignment.  Bit-identical to
-        ``[capacity_at(j, t) for j in range(num_disks)]`` — the
-        arithmetic below repeats :meth:`capacity_at` and
-        :meth:`finish_time` expression-for-expression so float evaluation
-        order (and therefore the exact-inverse guarantee) is unchanged —
-        but without the per-disk bounds checks and method dispatch.
+        A solve builds it once and rescales every probe from it; build a
+        new one after any change to the loads.
         """
         sites = self.sites
         site_of = self._site_of
-        out: list[int] = []
-        for j, d in enumerate(self._disks):
-            delay = sites[site_of[j]].delay_ms
-            load = d.initial_load_ms
-            budget = deadline_ms - delay - load
-            if budget <= 0:
-                out.append(0)
-                continue
-            c = d.block_time_ms
-            k = int(budget // c)
-            # same O(1) fixups as capacity_at, against the same
-            # finish_time expression (delay + load + k * c)
-            while delay + load + (k + 1) * c <= deadline_ms:
-                k += 1
-            while k > 0 and delay + load + k * c > deadline_ms:
-                k -= 1
-            out.append(k)
-        return out
+        base = np.array(
+            [
+                sites[site_of[j]].delay_ms + d.initial_load_ms
+                for j, d in enumerate(self._disks)
+            ],
+            dtype=float,
+        )
+        return CapacityTable(base, self.costs())
+
+    def capacities_at(self, deadline_ms: float) -> list[int]:
+        """All disks' :meth:`capacity_at` at once, from a fresh
+        :meth:`capacity_table` (see :meth:`CapacityTable.capacities_at`)."""
+        return self.capacity_table().capacities_at(deadline_ms)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,10 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RetrievalProblem, brute_force_response_time
+from repro import invariants
+from repro.core import RetrievalProblem, brute_force_response_time, solve
 from repro.core.incremental_pr import SequentialProber
 from repro.core.scaling import binary_scaling_solve, incremental_solve
+from repro.decluster.multisite import make_placement
+from repro.maxflow.push_relabel import PushRelabelState
 from repro.storage import StorageSystem
+from repro.workloads.experiments import build_system
+from repro.workloads.loads import sample_query
 
 
 def random_problem(seed=0, n_buckets=8):
@@ -126,3 +131,69 @@ class TestProberContract:
         assert SequentialProber.conserves_flow is True
         assert ParallelProber.conserves_flow is True
         assert BlackBoxProber.conserves_flow is False
+
+
+class TestFixedCostPerSolve:
+    """At the paper's size (N=100 per site, 200 disks) a probe's fixed
+    passes once cost ~3x its discharge.  Warm probes now carry the
+    engine's labels and rescale from one capacity table, so the O(V+E)
+    global relabel and the table build run once per solve, not once per
+    probe."""
+
+    @staticmethod
+    def large_problems(count=3):
+        rng = np.random.default_rng(11)
+        system = build_system(5, 100, rng)
+        placement = make_placement("rda", 100, num_sites=2, rng=rng)
+        return [
+            RetrievalProblem.from_query(
+                system, placement, sample_query(3, "arbitrary", 100, rng).buckets()
+            )
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def counting(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_global_relabel_per_cold_solve(self, monkeypatch):
+        monkeypatch.setattr(invariants, "ENABLED", False)
+        calls = self.counting(monkeypatch, PushRelabelState, "_global_relabel")
+        for p in self.large_problems():
+            calls.clear()
+            schedule = solve(p, solver="pr-binary", trace=True)
+            anchor = schedule.stats.extra["trace"].probes("anchor")[0]
+            assert schedule.stats.probes > 10
+            # the anchor's exact start, plus one more when a feasible
+            # anchor resets the flow (and with it the carried labels)
+            assert len(calls) == 1 + anchor.feasible
+
+    def test_reset_anchor_relabels_once_more(self, monkeypatch):
+        calls = self.counting(monkeypatch, PushRelabelState, "_global_relabel")
+        p = random_problem(2)
+        opt = brute_force_response_time(p)
+        # the true optimum as the "lower" bound: the anchor is feasible,
+        # and every binary probe below it infeasible
+        monkeypatch.setattr(
+            RetrievalProblem, "theoretical_min_deadline", lambda self: opt
+        )
+        sched = binary_scaling_solve(p, SequentialProber(), "test")
+        assert sched.response_time_ms == opt
+        assert len(calls) == 2
+
+    def test_one_capacity_table_per_solve(self, monkeypatch):
+        calls = self.counting(monkeypatch, StorageSystem, "capacity_table")
+        for p in self.large_problems(2):
+            calls.clear()
+            schedule = solve(p, solver="pr-binary")
+            assert schedule.stats.probes > 10
+            assert len(calls) == 1
+

@@ -204,3 +204,94 @@ class TestProbeMonitor:
         monkeypatch.setattr(invariants, "ENABLED", False)
         problem, net = self.stale_network()
         solve(problem, solver="pr-binary", network=net)  # no check runs
+
+
+class TestCarriedState:
+    """A warm push–relabel initialize that carries excesses and labels
+    from the previous probe is checked against an exact recount."""
+
+    @staticmethod
+    def carried_prober(engine):
+        """A prober one probe into a solve, so the next initialize (at
+        the same capacities) carries its state and repairs nothing."""
+        from repro.core.binary_csr import CsrProber
+        from repro.core.incremental_pr import SequentialProber
+        from repro.core.network import RetrievalNetwork
+
+        problem = small_problem(seed=3, n_buckets=10)
+        net = RetrievalNetwork(problem)
+        net.set_deadline_capacities(problem.theoretical_max_deadline())
+        prober = {"list": SequentialProber, "csr": CsrProber}[engine]()
+        prober.attach(net)
+        prober.probe()
+        return prober._state
+
+    @staticmethod
+    def corrupt_a_label(state):
+        """Lift a routed bucket above ``height[s] + 1`` across its
+        residual arc back into the source (histogram kept consistent);
+        the repair only lowers labels of re-saturated buckets, so the
+        corruption survives into the check."""
+        head, cap, flow, adj = state.g.arrays()
+        n = state.g.n
+        for a in adj[state.s]:
+            if a % 2 == 0 and flow[a] == cap[a] > 0:
+                v = head[a]
+                state.height_count[state.height[v]] -= 1
+                state.height[v] = n + 2
+                state.height_count[n + 2] += 1
+                return
+        raise AssertionError("no routed bucket to corrupt")
+
+    @pytest.mark.parametrize("engine", ["list", "csr"])
+    def test_clean_carried_state_passes(self, armed, engine):
+        state = self.carried_prober(engine)
+        state.initialize(preserve_flow=True)
+        assert state.global_relabels == 1  # the state was carried
+
+    @pytest.mark.parametrize("engine", ["list", "csr"])
+    def test_corrupted_label_trips(self, armed, engine):
+        state = self.carried_prober(engine)
+        self.corrupt_a_label(state)
+        with pytest.raises(InvariantViolation, match="invalid label"):
+            state.initialize(preserve_flow=True)
+
+    @pytest.mark.parametrize("engine", ["list", "csr"])
+    def test_corrupted_excess_trips(self, armed, engine):
+        state = self.carried_prober(engine)
+        v = state.g.n - 1  # a disk: never the source or the sink
+        state.excess[v] += 1
+        with pytest.raises(InvariantViolation, match="excess"):
+            state.initialize(preserve_flow=True)
+
+    def test_corrupted_histogram_trips(self, armed):
+        state = self.carried_prober("list")
+        state.height_count[0] += 1
+        with pytest.raises(InvariantViolation, match="histogram"):
+            state.initialize(preserve_flow=True)
+
+    @pytest.mark.parametrize("engine", ["list", "csr"])
+    def test_disarmed_initialize_skips_the_check(self, monkeypatch, engine):
+        monkeypatch.setattr(invariants, "ENABLED", False)
+        calls = []
+        monkeypatch.setattr(
+            invariants, "check_carried_state",
+            lambda *args: calls.append(args),
+        )
+        state = self.carried_prober(engine)
+        self.corrupt_a_label(state)
+        state.initialize(preserve_flow=True)  # no check runs
+        assert calls == []
+
+    def test_armed_solve_checks_every_carried_probe(self, armed, monkeypatch):
+        calls = []
+        original = invariants.check_carried_state
+
+        def counting(*args):
+            calls.append(args[-1])
+            original(*args)
+
+        monkeypatch.setattr(invariants, "check_carried_state", counting)
+        schedule = solve(small_problem(seed=3, n_buckets=10), solver="pr-binary")
+        # every probe after the first carries (anchor infeasible here)
+        assert len(calls) == schedule.stats.probes - 1

@@ -101,3 +101,21 @@ class TestGlobalRelabelUnit:
         state = PushRelabelState(g, s, t, initial_heights="exact")
         state.initialize()
         assert state.global_relabels == 1  # the initialization itself
+
+    def test_mid_run_relabel_writes_the_lists_run_reads(self):
+        """``run`` binds height/current/histogram as locals; a mid-run
+        global relabel must update those very lists, or discharge goes on
+        with stale labels and the heuristic does nothing."""
+        g, s, t = stranded_excess_graph()
+        state = PushRelabelState(g, s, t, initial_heights="zero",
+                                 global_relabel_interval=1)
+        lists = (state.height, state.current, state.height_count)
+        state.initialize()
+        state.run()
+        assert state.global_relabels >= 1
+        assert (state.height, state.current, state.height_count) == lists
+        for kept, now in zip(
+            lists, (state.height, state.current, state.height_count)
+        ):
+            assert kept is now
+

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import FlowNetwork, assert_valid_flow
+from repro.maxflow.csr_push_relabel import CsrPushRelabelState, csr_push_relabel
 from repro.maxflow.push_relabel import PushRelabelState, push_relabel
 
 
@@ -114,6 +115,71 @@ class TestWarmStartSemantics:
         state.initialize(preserve_flow=True)
         assert state.excess[2] == pytest.approx(2)  # previous delivery seen
         assert state.run() == pytest.approx(3)
+
+
+class TestCarriedState:
+    """Warm starts after a completed exact-height run keep the excesses
+    and labels, and repair only what the new residual arcs invalidate."""
+
+    @staticmethod
+    def growing_sink():
+        g, s, t = ladder()
+        sink_arcs = [b ^ 1 for b in g.adj[t]]
+        return g, s, t, sink_arcs
+
+    @pytest.mark.parametrize("engine", [PushRelabelState, CsrPushRelabelState])
+    def test_warm_probe_skips_the_global_relabel(self, engine):
+        g, s, t, sink_arcs = self.growing_sink()
+        for a in sink_arcs:
+            g.set_capacity(a, 0)
+        state = engine(g, s, t)
+        for cap in (0, 1, 2):
+            for a in sink_arcs:
+                g.set_capacity(a, cap)
+            state.initialize(preserve_flow=True)
+            value = state.run()
+            assert_valid_flow(g, s, t)
+            g2, _, _, arcs2 = self.growing_sink()
+            for a in arcs2:
+                g2.set_capacity(a, cap)
+            assert value == push_relabel(g2, s, t).value
+        assert state.global_relabels == 1  # only the first initialize
+
+    @pytest.mark.parametrize("engine", [PushRelabelState, CsrPushRelabelState])
+    def test_forgetting_labels_recomputes_them(self, engine):
+        g, s, t = ladder()
+        state = engine(g, s, t)
+        assert state.save_labels() is None  # nothing carried yet
+        state.initialize()
+        state.run()
+        labels = state.save_labels()
+        assert labels is not None
+        assert labels[0] == state.height and labels[0] is not state.height
+        state.restore_labels(None)
+        state.initialize(preserve_flow=True)
+        assert state.global_relabels == 2
+
+    def test_restored_labels_are_copied_in(self):
+        g, s, t = ladder()
+        state = PushRelabelState(g, s, t)
+        state.initialize()
+        state.run()
+        flow, labels = g.save_flow(), state.save_labels()
+        height = state.height
+        state.restore_labels(labels)
+        assert state.height is height and state.height == labels[0]
+        g.restore_flow(flow)
+        state.initialize(preserve_flow=True)
+        assert state.run() == push_relabel(ladder()[0], s, t).value
+        assert state.global_relabels == 1
+
+    def test_one_shot_csr_engine_never_carries(self):
+        g, s, t = ladder()
+        first = csr_push_relabel(g, s, t, warm_start=True)
+        again = csr_push_relabel(g, s, t, warm_start=True)
+        assert first.extra["global_relabels"] == 1
+        assert again.extra["global_relabels"] == 1
+        assert again.value == first.value
 
 
 class TestResultPackaging:

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core import RetrievalProblem, brute_force_response_time, solve
-from repro.core.api import SOLVERS
+from repro.core.api import SOLVERS, get_solver
 from repro.core.certify import certify_optimal
 from repro.core.network import RetrievalNetwork
 from repro.decluster.multisite import make_placement
@@ -322,3 +322,38 @@ def test_large_n_solvers_agree_exactly(seed):
 @pytest.mark.parametrize("seed", range(3, 15))
 def test_large_n_solvers_agree_exactly_long(seed):
     check_large_instance(seed)
+
+
+# ----------------------------------------------------------------------
+# zero-height ablation: the literal Algorithm 5 reset runs mid-run
+# global relabels, which the two engines must apply identically
+# ----------------------------------------------------------------------
+
+
+def zero_height_stats(name: str, problem: RetrievalProblem):
+    return get_solver(name, initial_heights="zero").solve(problem).stats
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_zero_height_engines_count_alike_on_fuzz(seed):
+    """List vs CSR engine with ``initial_heights="zero"``: a mid-run
+    global relabel must reach the lists the discharge loop reads, so the
+    two op-for-op engines count every push, relabel and global relabel
+    the same."""
+    problem = random_generalized(np.random.default_rng(0xF10A + seed))
+    classic = zero_height_stats("pr-binary", problem)
+    flat = zero_height_stats("pr-csr", problem)
+    for name in STATS_COUNTERS:
+        assert getattr(flat, name) == getattr(classic, name), name
+    assert flat.extra["global_relabels"] == classic.extra["global_relabels"]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_zero_height_engines_count_alike_at_large_n(seed):
+    problem = random_large(seed)
+    classic = zero_height_stats("pr-binary", problem)
+    flat = zero_height_stats("pr-csr", problem)
+    assert flat.extra["global_relabels"] == classic.extra["global_relabels"]
+    assert classic.extra["global_relabels"] > 1  # mid-run relabels ran
+    for name in STATS_COUNTERS:
+        assert getattr(flat, name) == getattr(classic, name), name

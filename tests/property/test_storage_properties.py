@@ -6,16 +6,20 @@ Invariants:
   ``max_j (D_j + X_j + k_j C_j)`` model, for arbitrary assignments;
 * ``capacity_at`` and ``finish_time`` are exact inverses at integral
   bucket counts, and ``capacity_at`` is monotone in the deadline;
+* the batched rescale ``capacities_at`` is bit-identical to the per-disk
+  ``capacity_at``, and a solve never reads loads older than its own start;
 * online replay never time-travels: loads are non-negative, responses
   are no smaller than the best single-bucket finish time.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RetrievalProblem, brute_force_response_time, solve
 from repro.storage import OnlineReplay, StorageSystem, simulate_schedule
 from repro.storage.disk import DISK_CATALOG
 
@@ -75,6 +79,57 @@ def test_capacity_finish_inverse(system, k):
 def test_capacity_monotone_in_deadline(system, t, dt):
     for d in range(system.num_disks):
         assert system.capacity_at(d, t + dt) >= system.capacity_at(d, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    systems(),
+    st.lists(st.floats(-20, 600), min_size=1, max_size=8),
+    st.integers(1, 25),
+)
+def test_batched_rescale_matches_capacity_at(system, deadlines, kmax):
+    """Random deadlines, every exact ``finish_time(j, k)`` and its
+    ``nextafter`` neighbours on both sides: one vectorized pass must
+    give the per-disk answers bit for bit, as Python ints."""
+    points = list(deadlines)
+    for j in range(system.num_disks):
+        for k in range(1, kmax + 1):
+            t = system.finish_time(j, k)
+            points += [
+                t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)
+            ]
+    table = system.capacity_table()
+    for t in points:
+        expected = [system.capacity_at(j, t) for j in range(system.num_disks)]
+        got = table.capacities_at(t)
+        assert got == expected, t
+        assert all(type(k) is int for k in got)
+        assert system.capacities_at(t) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    systems(),
+    st.lists(st.integers(0, 9), min_size=6, max_size=6),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+             min_size=1, max_size=7),
+)
+def test_loads_changed_between_solves_are_seen(system, new_loads, picks):
+    """The capacity table lives for one solve: after ``set_loads`` a
+    second solve of the *same* problem object must see the new loads, as
+    the brute-force oracle (which reads the loads directly) does."""
+    n = system.num_disks
+    replicas = tuple(tuple(sorted({d % n for d in reps})) for reps in picks)
+    problem = RetrievalProblem(system, replicas)
+    assert solve(problem).response_time_ms == brute_force_response_time(problem)
+    system.set_loads([float(x) for x in new_loads[:n]])
+    table = system.capacity_table()
+    for j in range(n):
+        t = system.finish_time(j, 1)
+        assert table.capacities_at(t) == [
+            system.capacity_at(i, t) for i in range(n)
+        ]
+    assert solve(problem).response_time_ms == brute_force_response_time(problem)
 
 
 @settings(max_examples=25, deadline=None)
