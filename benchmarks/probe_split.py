@@ -1,6 +1,9 @@
-"""Where a cold ``pr-binary`` solve spends its probes, at N=100 per site.
+"""Where a cold ``pr-binary`` solve spends its time, at N=100 per site.
 
-Splits the engine's per-probe work into its two passes:
+First times the two construction steps every query pays before its
+first probe: ``RetrievalProblem.from_query`` (the replica lookup) and
+the ``RetrievalNetwork`` build.  Then splits the engine's per-probe work
+into its two passes:
 
 * ``initialize`` — the fixed cost every probe pays: source-arc
   saturation plus, on the first probe of a solve (or after a reset), the
@@ -27,23 +30,42 @@ import time
 
 import numpy as np
 
-from repro.core import RetrievalProblem, solve
+from repro.core import RetrievalNetwork, RetrievalProblem, solve
 from repro.decluster.multisite import make_placement
 from repro.maxflow.push_relabel import PushRelabelState
 from repro.workloads.experiments import build_system
 from repro.workloads.loads import sample_query
 
 
-def make_batch(n: int, count: int, seed: int) -> list[RetrievalProblem]:
+def make_batch(n: int, count: int, seed: int):
+    """The deployment and ``count`` queries' bucket coordinates."""
     rng = np.random.default_rng(seed)
     system = build_system(5, n, rng)
     placement = make_placement("rda", n, num_sites=2, rng=rng)
-    return [
-        RetrievalProblem.from_query(
-            system, placement, sample_query(3, "arbitrary", n, rng).buckets()
-        )
-        for _ in range(count)
+    queries = [
+        sample_query(3, "arbitrary", n, rng).buckets() for _ in range(count)
     ]
+    return system, placement, queries
+
+
+def construction_split(system, placement, queries, repeats: int = 3):
+    """Best-of-``repeats`` ms per query of ``from_query`` and of the
+    network build, and the problems built."""
+    best = {"from_query": float("inf"), "build": float("inf")}
+    for _ in range(repeats):
+        start = time.perf_counter()
+        problems = [
+            RetrievalProblem.from_query(system, placement, coords)
+            for coords in queries
+        ]
+        built = time.perf_counter()
+        for p in problems:
+            RetrievalNetwork(p)
+        done = time.perf_counter()
+        best["from_query"] = min(best["from_query"], built - start)
+        best["build"] = min(best["build"], done - built)
+    per_query = {k: v * 1000.0 / len(queries) for k, v in best.items()}
+    return per_query, problems
 
 
 def engine_split(problems: list[RetrievalProblem]) -> dict[str, float]:
@@ -97,10 +119,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    problems = make_batch(args.n, args.queries, args.seed)
+    system, placement, queries = make_batch(args.n, args.queries, args.seed)
+    built, problems = construction_split(system, placement, queries)
     q = len(problems)
     mean_q = sum(p.num_buckets for p in problems) / q
     print(f"N={args.n} per site, {q} queries, mean |Q| = {mean_q:.0f}")
+    print(
+        f"construction per query: from_query {built['from_query']:.3f} ms, "
+        f"RetrievalNetwork {built['build']:.3f} ms"
+    )
 
     split = engine_split(problems)
     init_ms = split["initialize"] * 1000.0 / q

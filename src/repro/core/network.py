@@ -32,44 +32,56 @@ class RetrievalNetwork:
         self.problem = problem
         Q = problem.num_buckets
         N = problem.num_disks
-        g = FlowNetwork(2 + Q + N)
-        self.graph = g
         self.source = 0
         self.sink = 1
+        first_disk = 2 + Q
 
+        # The three arc layers as parallel (tail, head) vectors, in the
+        # arc-id order of Figures 3-4: each bucket's source→bucket arc
+        # followed by its deduplicated bucket→disk arcs, then the
+        # disk→sink arcs.  Forward arc k lands at slot 2k.
+        tails: list[int] = []
+        heads: list[int] = []
+        source_arcs: list[int] = []
+        replica_arcs: list[list[int]] = []
+        a = 0
+        for bv, disks in enumerate(map(sorted, problem.replicas), 2):
+            source_arcs.append(a)
+            tails.append(0)
+            heads.append(bv)
+            ids = []
+            last = -1  # disk ids are >= 0; sorting puts repeats side by side
+            for d in disks:
+                if d != last:
+                    a += 2
+                    ids.append(a)
+                    tails.append(bv)
+                    heads.append(first_disk + d)
+                    last = d
+            replica_arcs.append(ids)
+            a += 2
+        caps = [1] * len(tails)
+        tails.extend(range(first_disk, first_disk + N))
+        heads.extend([1] * N)
+        caps.extend([0] * N)
         #: source→bucket arc ids, indexed by bucket
-        self.source_arcs: list[int] = []
+        self.source_arcs = source_arcs
         #: bucket→disk arc ids per bucket (deduplicated replicas)
-        self.replica_arcs: list[list[int]] = []
+        self.replica_arcs = replica_arcs
         #: disk→sink arc ids, indexed by disk
-        self.sink_arcs: list[int] = []
-
-        for i, reps in enumerate(problem.replicas):
-            bv = self.bucket_vertex(i)
-            self.source_arcs.append(g.add_arc(self.source, bv, 1))
-            arcs = []
-            for d in sorted(set(reps)):
-                arcs.append(g.add_arc(bv, self.disk_vertex(d), 1))
-            self.replica_arcs.append(arcs)
-        for j in range(N):
-            self.sink_arcs.append(g.add_arc(self.disk_vertex(j), self.sink, 0))
-        # Construction is the only caller of add_arc, so the topology —
-        # and with it every disk's in-degree — is fixed from here on.
+        self.sink_arcs = list(range(a, a + 2 * N, 2))
+        g = FlowNetwork.from_arcs(first_disk + N, tails, heads, caps)
+        self.graph = g
+        # Construction is the only writer of the topology, so every
+        # disk's in-degree is fixed from here on.
         self._disk_in_degree: list[int] = [
-            g.in_degree(self.disk_vertex(j)) for j in range(N)
+            g.in_degree(first_disk + j) for j in range(N)
         ]
-
-        # The disk→sink arcs are appended last, so their forward slots
-        # form the arithmetic run base, base+2, ... (twins at the odd
-        # slots).  Capture that run as a strided slice — the vectorized
-        # per-probe rescale writes all N capacities in one extended-slice
-        # assignment.  Verified here rather than assumed, with a per-arc
-        # fallback kept for any future topology that breaks the run.
-        base = self.sink_arcs[0] if self.sink_arcs else 0
-        if self.sink_arcs == list(range(base, base + 2 * N, 2)):
-            self._sink_cap_slice: slice | None = slice(base, base + 2 * N, 2)
-        else:  # pragma: no cover - current construction always contiguous
-            self._sink_cap_slice = None
+        # The disk→sink arcs come last, so their forward slots form the
+        # arithmetic run a, a+2, ... (twins at the odd slots): the
+        # per-probe rescale writes all N capacities through this one
+        # strided slice.  The armed sanitizer re-checks the run per solve.
+        self._sink_cap_slice = slice(a, a + 2 * N, 2)
 
     @property
     def disk_in_degree(self) -> list[int]:
@@ -184,12 +196,7 @@ class RetrievalNetwork:
 
     def set_uniform_sink_caps(self, cap: int) -> None:
         """Set every disk→sink capacity to ``cap`` (basic problem)."""
-        sl = self._sink_cap_slice
-        if sl is not None:
-            self.graph.cap[sl] = [cap] * len(self.sink_arcs)
-        else:  # pragma: no cover - defensive fallback
-            for a in self.sink_arcs:
-                self.graph.cap[a] = cap
+        self.graph.cap[self._sink_cap_slice] = [cap] * len(self.sink_arcs)
 
     def set_deadline_capacities(
         self, deadline_ms: float, table: CapacityTable | None = None
@@ -207,14 +214,7 @@ class RetrievalNetwork:
         built from the system's current loads."""
         if table is None:
             table = self.problem.system.capacity_table()
-        caps = table.capacities_at(deadline_ms)
-        sl = self._sink_cap_slice
-        if sl is not None:
-            self.graph.cap[sl] = caps
-        else:  # pragma: no cover - defensive fallback
-            g_cap = self.graph.cap
-            for a, c in zip(self.sink_arcs, caps):
-                g_cap[a] = c
+        self.graph.cap[self._sink_cap_slice] = table.capacities_at(deadline_ms)
 
     def increment_all_sink_caps(self) -> None:
         """Raise every disk→sink capacity by one (Algorithm 1 lines 6-7)."""

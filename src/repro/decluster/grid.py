@@ -143,15 +143,41 @@ class ReplicatedAllocation:
         """Size of the global disk pool (max over copies)."""
         return max(c.num_disks for c in self.copies)
 
+    def replicas_of_many(
+        self, coords: Sequence[tuple[int, int]]
+    ) -> list[tuple[int, ...]]:
+        """Replica tuples of many buckets: one fancy index per copy.
+
+        ``coords`` is a sequence of ``(i, j)`` pairs (wraparound indices
+        allowed, as in :meth:`Allocation.disk_of`); element ``k`` of the
+        result is the tuple of Python-``int`` disk ids holding bucket
+        ``coords[k]``, one per copy (may repeat).  Coordinates must be
+        integers that fit in int64: anything else raises
+        :class:`DeclusteringError` rather than being truncated.
+        """
+        arr = np.asarray(coords)
+        if arr.size == 0:
+            return []
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise DeclusteringError(
+                f"bucket coordinates must be (i, j) pairs, got shape {arr.shape}"
+            )
+        if arr.dtype.kind not in "iu":
+            raise DeclusteringError(
+                f"bucket coordinates must be integers, got {arr.dtype} values"
+            )
+        rows = arr[:, 0] % self.n_rows
+        cols = arr[:, 1] % self.n_cols
+        return list(zip(*(c.grid[rows, cols].tolist() for c in self.copies)))
+
     def replicas_of(self, i: int, j: int) -> tuple[int, ...]:
         """Disk ids holding bucket ``(i, j)``, one per copy (may repeat)."""
-        return tuple(c.disk_of(i, j) for c in self.copies)
+        return self.replicas_of_many([(i, j)])[0]
 
     def iter_buckets(self) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
         """Yield ``((i, j), replicas)`` for every bucket."""
-        for i in range(self.n_rows):
-            for j in range(self.n_cols):
-                yield (i, j), self.replicas_of(i, j)
+        coords = [(i, j) for i in range(self.n_rows) for j in range(self.n_cols)]
+        return zip(coords, self.replicas_of_many(coords))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -15,7 +15,9 @@ invariants hold:
 
 A fourth, the implementation's own, is checked once per solve: the
 per-disk in-degrees a :class:`~repro.core.network.RetrievalNetwork`
-reads once at construction still match its graph (**fixed topology**).
+reads once at construction still match its graph, and its disk→sink
+forward arcs are still the strided slot run the per-probe rescale writes
+through (**fixed topology**).
 A fifth is checked after every warm push–relabel initialize that carries
 its excesses and labels from the previous probe (**carried state**): the
 excesses equal an exact recount, the labels are valid on every residual
@@ -52,6 +54,7 @@ __all__ = [
     "check_carried_state",
     "check_clamped_network",
     "check_disk_in_degree",
+    "check_sink_run",
     "check_valid_flow",
     "enabled_from_env",
 ]
@@ -127,6 +130,26 @@ def check_disk_in_degree(network, context: str) -> None:
             )
 
 
+def check_sink_run(network, context: str) -> None:
+    """Disk ``j``'s disk→sink arc must be the ``j``-th slot of the
+    strided run the per-probe rescale writes: a run that no longer
+    matches ``sink_arcs`` would land every deadline's capacities on the
+    wrong arcs."""
+    g = network.graph
+    run = list(range(g.num_arc_slots)[network._sink_cap_slice])
+    if run != network.sink_arcs:
+        raise InvariantViolation(
+            f"{context}: sink-capacity slice addresses slots {run} but the "
+            f"disk→sink arcs are {network.sink_arcs}"
+        )
+    for j, a in enumerate(run):
+        if g.tail(a) != network.disk_vertex(j) or g.head[a] != network.sink:
+            raise InvariantViolation(
+                f"{context}: slot {a} of the sink-capacity run is arc "
+                f"{g.tail(a)}->{g.head[a]}, not disk {j}'s disk→sink arc"
+            )
+
+
 def check_carried_state(
     graph: FlowNetwork,
     source: int,
@@ -181,12 +204,12 @@ class ProbeMonitor:
     One instance is created per solve (``binary_scaling_solve`` hands
     its monitor on to the increment phase) when the sanitizer is armed,
     and first checks the network's cached per-disk in-degrees against
-    the graph.  Each deadline-indexed probe (phases ``anchor`` and
-    ``binary``, where the sink capacities are a pure function of the
-    candidate ``t``) is recorded; a feasible probe below an infeasible
-    one is a monotonicity violation.  Increment-phase probes are
-    validity-checked only — their capacities are not parameterised by
-    ``t``.
+    the graph and its sink-capacity slot run against ``sink_arcs``.
+    Each deadline-indexed probe (phases ``anchor`` and ``binary``, where
+    the sink capacities are a pure function of the candidate ``t``) is
+    recorded; a feasible probe below an infeasible one is a monotonicity
+    violation.  Increment-phase probes are validity-checked only — their
+    capacities are not parameterised by ``t``.
     """
 
     #: phases whose capacities encode the probed deadline
@@ -198,6 +221,7 @@ class ProbeMonitor:
         self._max_infeasible_t = float("-inf")
         self._min_feasible_t = float("inf")
         check_disk_in_degree(network, "probe monitor")
+        check_sink_run(network, "probe monitor")
 
     def after_probe(self, t: float, feasible: bool, phase: str) -> None:
         self.observations.append((t, feasible, phase))

@@ -173,7 +173,7 @@ FLOW_TOKENS = frozenset(
 )
 
 #: FlowNetwork mutators whose arguments enter the kernel directly
-_KERNEL_CALLS = frozenset({"push", "set_capacity", "add_arc"})
+_KERNEL_CALLS = frozenset({"push", "set_capacity", "add_arc", "from_arcs"})
 
 #: identifier fragments that mark an epsilon-tolerance constant
 _EPS_TOKENS = frozenset({"eps", "epsilon", "tol", "tolerance"})
@@ -221,7 +221,7 @@ class FloatFlowRule(Rule):
     * ``.append(...)`` on a flow/cap-named receiver with such arguments
       (the parallel-list construction path);
     * calls to the kernel mutators ``push`` / ``set_capacity`` /
-      ``add_arc`` with such arguments;
+      ``add_arc`` / ``from_arcs`` with such arguments;
     * comparisons where one side mentions a ``flow``/``cap`` token and
       any operand carries a float literal or an epsilon-named constant —
       the ``residual > 1e-9`` / ``flow > 0.5`` patterns of the float

@@ -174,3 +174,69 @@ class TestInDegreeOncePerTopology:
         solve(p, solver="pr-binary", network=net)
         solve(p, solver="ff-binary", network=net)
         assert in_degree_calls == []
+
+
+def reference_network(p: RetrievalProblem):
+    """The retrieval network built one ``add_arc`` call at a time, in
+    the documented arc order; returns the graph and its arc-id tables."""
+    Q, N = p.num_buckets, p.num_disks
+    g = FlowNetwork(2 + Q + N)
+    source_arcs, replica_arcs = [], []
+    for i, reps in enumerate(p.replicas):
+        source_arcs.append(g.add_arc(0, 2 + i, 1))
+        replica_arcs.append(
+            [g.add_arc(2 + i, 2 + Q + d, 1) for d in sorted(set(reps))]
+        )
+    sink_arcs = [g.add_arc(2 + Q + j, 1, 0) for j in range(N)]
+    in_degree = [g.in_degree(2 + Q + j) for j in range(N)]
+    return g, source_arcs, replica_arcs, sink_arcs, in_degree
+
+
+def with_repeats(p: RetrievalProblem) -> RetrievalProblem:
+    """The same buckets with every replica tuple reversed and its first
+    disk repeated, so deduplication and ordering both matter."""
+    reps = tuple(tuple(reversed(r)) + r[:1] for r in p.replicas)
+    return RetrievalProblem(p.system, reps)
+
+
+class TestBulkConstructionMatchesAddArc:
+    """The bulk-built network is slot-for-slot the ``add_arc`` one, so
+    every engine counter, cache snapshot and fleet payload is unchanged."""
+
+    @staticmethod
+    def assert_matches_reference(p: RetrievalProblem) -> None:
+        from tests.graph.test_from_arcs import assert_same_layout
+
+        net = RetrievalNetwork(p)
+        g, source_arcs, replica_arcs, sink_arcs, in_degree = reference_network(p)
+        assert_same_layout(net.graph, g)
+        assert net.source_arcs == source_arcs
+        assert net.replica_arcs == replica_arcs
+        assert net.sink_arcs == sink_arcs
+        assert net.disk_in_degree == in_degree
+        assert net.graph.cap[net._sink_cap_slice] == [0] * p.num_disks
+
+    def test_fuzz_instances(self):
+        from tests.property.test_differential_fuzz import (
+            N_INSTANCES,
+            random_generalized,
+        )
+
+        for seed in range(N_INSTANCES):
+            p = random_generalized(np.random.default_rng(seed))
+            self.assert_matches_reference(p)
+            self.assert_matches_reference(with_repeats(p))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_n100_per_site_instances(self, seed):
+        from tests.property.test_differential_fuzz import random_large
+
+        p = random_large(seed)
+        assert p.num_disks == 200
+        self.assert_matches_reference(p)
+        self.assert_matches_reference(with_repeats(p))
+
+    def test_repeated_disk_keeps_one_arc(self):
+        p = problem(reps=((2, 0, 2), (1,), (3, 3, 3)))
+        self.assert_matches_reference(p)
+        assert RetrievalNetwork(p).disk_in_degree == [1, 1, 1, 1]

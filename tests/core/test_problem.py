@@ -129,3 +129,29 @@ class TestFromQuery:
         sys_ = StorageSystem.homogeneous(5, "cheetah")
         with pytest.raises(InfeasibleScheduleError, match="disks"):
             RetrievalProblem.from_query(sys_, placement, [(0, 0)])
+
+    @staticmethod
+    def deployment():
+        placement = make_placement("rda", 7, num_sites=2, seed=3)
+        return StorageSystem.homogeneous(14, "cheetah", num_sites=2), placement
+
+    def test_empty_query_rejected(self):
+        sys_, placement = self.deployment()
+        with pytest.raises(InfeasibleScheduleError, match="no buckets"):
+            RetrievalProblem.from_query(sys_, placement, [])
+
+    def test_bulk_lookup_matches_per_bucket_reads(self):
+        sys_, placement = self.deployment()
+        alloc = placement.allocation
+        coords = [(0, 0), (6, 6), (-1, 3), (9, -8), (2, 5)]
+        p = RetrievalProblem.from_query(sys_, placement, coords)
+        assert p.replicas == tuple(
+            tuple(c.disk_of(i, j) for c in alloc.copies) for i, j in coords
+        )
+        assert {type(d) for reps in p.replicas for d in reps} == {int}
+
+    def test_labels_are_the_coordinates_as_given(self):
+        sys_, placement = self.deployment()
+        coords = [[1, 2], (3, 4)]
+        p = RetrievalProblem.from_query(sys_, placement, coords)
+        assert p.labels == ([1, 2], (3, 4))

@@ -104,3 +104,68 @@ class TestReplicatedAllocation:
         r = ReplicatedAllocation([simple(), simple()])
         assert r.num_copies == 2
         assert (r.n_rows, r.n_cols) == (2, 2)
+
+
+class TestReplicasOfMany:
+    """The one bulk lookup behind ``replicas_of``, ``iter_buckets`` and
+    ``RetrievalProblem.from_query``."""
+
+    @staticmethod
+    def allocation(seed: int = 0) -> ReplicatedAllocation:
+        rng = np.random.default_rng(seed)
+        copies = [
+            Allocation(rng.integers(0, 7, size=(5, 3)), 7) for _ in range(3)
+        ]
+        return ReplicatedAllocation(copies)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_per_coordinate_disk_of_with_wraparound(self, seed):
+        r = self.allocation(seed)
+        rng = np.random.default_rng(100 + seed)
+        coords = [
+            (int(i), int(j)) for i, j in rng.integers(-12, 12, size=(40, 2))
+        ]
+        assert any(i < 0 or i >= r.n_rows for i, _ in coords)
+        assert any(j < 0 or j >= r.n_cols for _, j in coords)
+        want = [tuple(c.disk_of(i, j) for c in r.copies) for i, j in coords]
+        assert r.replicas_of_many(coords) == want
+        assert [r.replicas_of(i, j) for i, j in coords] == want
+
+    def test_elements_are_python_ints(self):
+        r = self.allocation()
+        for reps in r.replicas_of_many([(0, 0), (4, 2), (-1, 7)]):
+            assert type(reps) is tuple and len(reps) == 3
+            assert {type(d) for d in reps} == {int}
+        assert {type(d) for d in r.replicas_of(1, 1)} == {int}
+
+    def test_numpy_integer_coordinates(self):
+        r = self.allocation()
+        coords = np.array([[1, 2], [3, 0]], dtype=np.int32)
+        assert r.replicas_of_many(coords) == [
+            r.replicas_of(1, 2), r.replicas_of(3, 0)
+        ]
+
+    @pytest.mark.parametrize(
+        "coords", [[(0.5, 1)], [(1.0, 2)], [(3, 2.5)], [("1", 0)]]
+    )
+    def test_non_integral_coordinates_raise(self, coords):
+        with pytest.raises(DeclusteringError, match="integers"):
+            self.allocation().replicas_of_many(coords)
+
+    @pytest.mark.parametrize("coords", [[(1, 2, 3)], [1, 2], [[(0, 0)]]])
+    def test_coordinates_must_be_pairs(self, coords):
+        with pytest.raises(DeclusteringError, match="pairs"):
+            self.allocation().replicas_of_many(coords)
+
+    def test_empty(self):
+        assert self.allocation().replicas_of_many([]) == []
+
+    def test_iter_buckets_is_row_major(self):
+        r = self.allocation()
+        got = list(r.iter_buckets())
+        assert [c for c, _ in got] == [
+            (i, j) for i in range(r.n_rows) for j in range(r.n_cols)
+        ]
+        assert [reps for _, reps in got] == [
+            r.replicas_of(i, j) for (i, j), _ in got
+        ]

@@ -205,6 +205,36 @@ class TestProbeMonitor:
         problem, net = self.stale_network()
         solve(problem, solver="pr-binary", network=net)  # no check runs
 
+    @staticmethod
+    def shifted_sink_run(move_arcs: bool):
+        """A network whose sink-capacity slice is moved one arc back,
+        onto the last replica arc; with ``move_arcs`` its ``sink_arcs``
+        table follows, so only the arcs' endpoints give it away."""
+        from repro.core.network import RetrievalNetwork
+
+        problem = small_problem()
+        net = RetrievalNetwork(problem)
+        run = net._sink_cap_slice
+        net._sink_cap_slice = slice(run.start - 2, run.stop - 2, 2)
+        if move_arcs:
+            net.sink_arcs = [a - 2 for a in net.sink_arcs]
+        return problem, net
+
+    @pytest.mark.parametrize(
+        "move_arcs, match",
+        [(False, "addresses slots"), (True, "not disk 0's disk→sink arc")],
+    )
+    def test_broken_sink_run_trips_armed_solve(self, armed, move_arcs, match):
+        problem, net = self.shifted_sink_run(move_arcs)
+        with pytest.raises(InvariantViolation, match=match):
+            solve(problem, solver="pr-binary", network=net)
+
+    def test_fresh_network_passes_the_sink_run_check(self):
+        from repro.core.network import RetrievalNetwork
+
+        net = RetrievalNetwork(small_problem())
+        invariants.check_sink_run(net, "fresh")
+
 
 class TestCarriedState:
     """A warm push–relabel initialize that carries excesses and labels

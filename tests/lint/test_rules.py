@@ -170,6 +170,16 @@ class TestFloatFlow:
         hint = self.findings()[0].hint
         assert "exact Python ints" in hint
 
+    def test_bulk_constructor_is_a_kernel_call(self, tmp_path):
+        module = tmp_path / "bulk.py"
+        module.write_text(
+            "g = FlowNetwork.from_arcs(2, [0], [1], [total / 2])\n"
+        )
+        found = run_lint([module], [FloatFlowRule()], root=tmp_path)
+        assert [(f.line, "from_arcs()" in f.message) for f in found] == [
+            (1, True)
+        ]
+
 
 class TestHygieneRules:
     def findings(self):
